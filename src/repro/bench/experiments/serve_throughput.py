@@ -9,19 +9,21 @@ newline-delimited ``INSERT_BATCH`` frames. The ``overhead`` column is
 the honest ratio ``direct_ips / served_ips`` — JSON framing, socket
 hops, per-tenant locking and the event loop, all included.
 
-Two served shapes are driven: a ``serial``-router tenant (sketch work
-runs inline on the event loop — the single-core floor) and a
-``process``-router tenant (sketch work fans out to shard workers, so
-on a multi-core host the load generator can saturate the sharded
-engine through the network layer). As with the shard-scaling bench,
-process-router numbers only mean parallelism when the host has the
-cores; ``cpus`` rides along so the ledger can tell.
+Two served shapes are driven over the same tenant configuration and
+work (the direct row's four tasks at one shard): a ``serial``-router
+tenant (sketch work runs inline on the event loop — the single-core
+floor) and a ``process``-router tenant (each task's sketch work runs in
+its own worker process, so on a multi-core host the load generator can
+saturate the engine through the network layer). As with the
+shard-scaling bench, process-router numbers only mean parallelism when
+the host has the cores; ``cpus`` rides along so the ledger can tell.
 """
 
 from __future__ import annotations
 
 import os
 import threading
+from dataclasses import replace
 from time import perf_counter
 
 from ...serve import TenantConfig
@@ -37,9 +39,8 @@ DEFAULT_ITEMS = 400_000
 BATCH = 2_000
 
 _SERIAL = TenantConfig(window_length=WINDOW, memory=MEMORY, seed=1)
-_PROCESS = TenantConfig(window_length=WINDOW, memory=MEMORY, seed=1,
-                        tasks=("activeness", "size"), shards=2,
-                        router="process", timeout=60.0)
+#: The same tenant and work as ``_SERIAL``; only the router differs.
+_PROCESS = replace(_SERIAL, router="process")
 
 
 def _direct_ips(keys, batch: int) -> float:

@@ -15,7 +15,7 @@ All are built on :class:`~repro.core.clockarray.ClockArray`, the s-bit
 clock cell array with its cyclic cleaning pointer.
 """
 
-from .clockarray import ClockArray, dtype_for_bits, snapshot_values, sweep_hits
+from .clockarray import ClockArray, dtype_for_bits
 from .activeness import ClockBloomFilter, snapshot_membership
 from .cardinality import (
     CardinalityEstimate,
@@ -30,8 +30,6 @@ from .params import active_load, cells_for_memory, optimal_k_membership
 __all__ = [
     "ClockArray",
     "dtype_for_bits",
-    "snapshot_values",
-    "sweep_hits",
     "ClockBloomFilter",
     "snapshot_membership",
     "ClockBitmap",

@@ -165,6 +165,20 @@ class ClockBloomFilter(ClockSketchBase):
         sketches must share a configuration and a cleaning-pointer
         position (synchronise to a common stream time first). Returns
         ``self``.
+
+        Examples
+        --------
+        >>> from repro import time_window
+        >>> w = time_window(100.0)
+        >>> f1 = ClockBloomFilter(n=256, k=3, s=2, window=w, seed=5)
+        >>> f2 = ClockBloomFilter(n=256, k=3, s=2, window=w, seed=5)
+        >>> f1.insert("left", t=1.0); f2.insert("right", t=2.0)
+        >>> f1.contains("right", t=3.0); f2.contains("right", t=3.0)
+        False
+        True
+        >>> merged = f1.merge(f2)
+        >>> merged.contains("left"), merged.contains("right")
+        (True, True)
         """
         self._merge_check(other, ("n", "k", "s", "window", "seed"))
         self._merge_commit(other)

@@ -36,16 +36,12 @@ import math
 import numpy as np
 
 from ..errors import ConfigurationError, TimeError
-# Back-compat re-exports: the closed-form kernels moved to
-# repro.kernels (numpy reference backend); importing them from here
-# keeps every historical call site working.
-from ..kernels.numpy_backend import snapshot_values, sweep_hits  # noqa: F401
 from ..kernels import resolve_backend
 from ..obs import runtime as _obs
 from ..timebase import WindowSpec
 
 __all__ = ["ClockArray", "circles_per_window_for", "dtype_for_bits",
-           "max_value_for", "snapshot_values", "sweep_hits"]
+           "max_value_for"]
 
 
 def max_value_for(s: int) -> int:
@@ -226,9 +222,9 @@ class ClockArray:
     def sync_state(self, now, steps_done: int, cleaned: int = 0) -> None:
         """Adopt an externally computed cleaner position.
 
-        The batch engine applies whole sweeps in closed form
-        (:mod:`repro.engine.fused`) and then declares the end state here
-        instead of replaying the steps through :meth:`advance`.
+        The batch engine applies whole sweeps in closed form (the
+        kernel backend's ``fuse_*``) and then declares the end state
+        here instead of replaying the steps through :meth:`advance`.
         ``cleaned`` reports how many cells the closed-form application
         expired, keeping the sweep telemetry consistent with the
         incremental path.

@@ -1,23 +1,13 @@
 """Batch-ingestion engine: vectorised ``insert_many`` for every sketch.
 
 The engine turns batches of items into sketch state through one of
-three strategies — closed-form fused numpy application, the reference
+three strategies — closed-form fused application, the reference
 per-item loop, or the deferred chunked scatter — chosen per batch so
 that results are bit-identical to the scalar ``insert`` path on the
-exact sweep modes. See :mod:`repro.engine.batch` for the orchestration
-and :mod:`repro.engine.fused` for the closed-form math.
+exact sweep modes. See :mod:`repro.engine.batch` for the orchestration;
+the closed-form math is the kernel backend's (:mod:`repro.kernels`).
 """
 
 from .batch import DEFAULT_MIN_FUSED, BatchEngine
-from .fused import fuse_countmin, fuse_timespan, fuse_touch
-from .scatter import scatter_by_shard, take_subset
 
-__all__ = [
-    "BatchEngine",
-    "DEFAULT_MIN_FUSED",
-    "fuse_touch",
-    "fuse_timespan",
-    "fuse_countmin",
-    "scatter_by_shard",
-    "take_subset",
-]
+__all__ = ["BatchEngine", "DEFAULT_MIN_FUSED"]

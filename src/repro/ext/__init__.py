@@ -6,30 +6,18 @@
 - :mod:`repro.ext.adaptive` — per-key learned batch thresholds: "the
   threshold T for two different item batches may differ and an
   algorithm should learn the proper thresholds".
-- :mod:`repro.ext.merge` — mergeable Clock-sketches for distributed
-  measurement ("combining Flink framework can help save
-  synchronization cost in distributed measurement").
+
+The third direction, distributed measurement over mergeable sketches,
+is :mod:`repro.shard` (keyed replicas merged at a query barrier).
 """
 
 from .similar import KeyedMapper, SimilarItemSketch, TokenPrefixMapper
 from .adaptive import AdaptiveBatchTracker, GapThresholdLearner
-from .merge import (
-    merge_bloom_filters,
-    merge_bitmaps,
-    merge_count_mins,
-    merge_timespan_sketches,
-)
-from .pipeline import DistributedMeasurement
 
 __all__ = [
-    "DistributedMeasurement",
     "KeyedMapper",
     "TokenPrefixMapper",
     "SimilarItemSketch",
     "GapThresholdLearner",
     "AdaptiveBatchTracker",
-    "merge_bloom_filters",
-    "merge_bitmaps",
-    "merge_count_mins",
-    "merge_timespan_sketches",
 ]

@@ -1,13 +1,12 @@
 """The numpy reference kernel backend (the library's original hot path).
 
-Every primitive here was moved verbatim from its pre-kernel home —
-``sweep_hits`` / ``snapshot_values`` from :mod:`repro.core.clockarray`,
-the fused batch finishers from ``repro/engine/fused.py``, the vector
-sweep bodies from :meth:`ClockArray._sweep_vector`, and the shard
-scatter fan-out from ``repro/engine/scatter.py`` — so the numpy backend
-*is* the historical implementation, bit for bit. Other backends (see
-:mod:`repro.kernels.loops` and :mod:`repro.kernels.numba_backend`) are
-differentially tested against it.
+Every primitive here is the library's original vectorised code — the
+closed-form ``sweep_hits`` / ``snapshot_values``, the fused batch
+finishers, the vector sweep bodies and the shard scatter fan-out — so
+the numpy backend *is* the historical implementation, bit for bit. This
+module is the one import path of each free function. Other backends
+(see :mod:`repro.kernels.loops` and :mod:`repro.kernels.numba_backend`)
+are differentially tested against it.
 
 The closed-form math (the paper's snapshot trick, applied
 incrementally): between two consecutive touches of a cell the sweep
@@ -90,7 +89,7 @@ def snapshot_values(
 
 
 # ----------------------------------------------------------------------
-# Fused batch finishers (from repro.engine.fused)
+# Fused batch finishers
 # ----------------------------------------------------------------------
 
 def _cleaned_prelude(clock: Any, touched: np.ndarray, final: np.ndarray,
@@ -292,7 +291,7 @@ def fuse_countmin(clock: Any, counters: np.ndarray, counter_max: int,
 
 
 # ----------------------------------------------------------------------
-# Shard scatter fan-out (from repro.engine.scatter)
+# Shard scatter fan-out
 # ----------------------------------------------------------------------
 
 def take_subset(items: Any, mask: np.ndarray) -> Any:

@@ -138,8 +138,8 @@ class ItemBatchMonitor:
     @classmethod
     def sharded(cls, window: WindowSpec, memory="64KB", tasks=None,
                 split=None, seed: int = 0, *, shards: int = 2,
-                router: str = "serial", mp_context=None,
-                queue_capacity=None, timeout=None, time_source=None):
+                router: str = "serial", queue_capacity=None,
+                timeout=None, time_source=None):
         """A monitor whose every task is a key-partitioned sharded sketch.
 
         Builds the ordinary per-task structures from ``memory`` (the
@@ -157,7 +157,6 @@ class ItemBatchMonitor:
                       seed=seed)
         options = {
             "router": router,
-            "mp_context": mp_context,
             "queue_capacity": DEFAULT_QUEUE_CAPACITY
             if queue_capacity is None else queue_capacity,
             "timeout": DEFAULT_TIMEOUT if timeout is None else timeout,

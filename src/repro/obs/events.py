@@ -12,14 +12,16 @@ read-back surface as :class:`~repro.obs.ring.SweepTraceRing`) and are
 also counted into the ``repro_obs_events_total`` counter, labelled by
 severity and kind, so alert rates are visible on ``/metrics`` even
 after the ring has wrapped. The ring itself is exported through
-``/metrics.json`` and ``python -m repro.obs --rings``.
+``/metrics.json`` and ``python -m repro.obs --rings``. The span tracer
+(:mod:`repro.obs.trace`) keeps its finished spans in the same ring
+class.
 """
 
 from __future__ import annotations
 
 import threading
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Mapping, Optional, Tuple
+from typing import Any, Dict, Generic, List, Mapping, Optional, Tuple, TypeVar
 
 from ..errors import ConfigurationError
 
@@ -27,6 +29,10 @@ __all__ = ["ObsEvent", "EventRing", "SEVERITIES"]
 
 #: Legal event severities, mildest first.
 SEVERITIES = ("info", "warning", "critical")
+
+#: What an :class:`EventRing` holds: :class:`ObsEvent` objects, or the
+#: tracer's finished-span dicts.
+T = TypeVar("T")
 
 
 @dataclass(frozen=True)
@@ -76,52 +82,54 @@ class ObsEvent:
         }
 
 
-class EventRing:
-    """Overwriting ring of the most recent ``capacity`` events.
+class EventRing(Generic[T]):
+    """Locked, overwriting ring of the most recent ``capacity`` entries.
 
     Same shape as :class:`~repro.obs.ring.SweepTraceRing`: pushes
     overwrite the oldest entry once full, ``total_pushed`` keeps
-    counting, and read-back is chronological. Events are irregular and
-    orders of magnitude rarer than sweeps, so entries are stored as the
-    :class:`ObsEvent` objects themselves rather than parallel columns.
+    counting, and read-back is chronological. Entries are irregular and
+    orders of magnitude rarer than sweeps, so they are stored as the
+    objects themselves rather than parallel columns — :class:`ObsEvent`
+    records here, finished-span dicts in the tracer.
 
-    Unlike the single-writer sweep ring, events can arrive from many
-    threads at once (auditor thread, lock waiters, flight recorder), so
-    pushes are serialised under a lock and each entry carries a
-    monotonic sequence number assigned at push time — lost or torn
-    records would show up as gaps or inversions in the read-back.
+    Unlike the single-writer sweep ring, entries can arrive from many
+    threads at once (auditor thread, lock waiters, flight recorder, the
+    ack-absorbing shard parent), so pushes are serialised under a lock
+    and each entry carries a monotonic sequence number assigned at push
+    time — lost or torn records would show up as gaps or inversions in
+    the read-back.
     """
 
-    def __init__(self, capacity: int = 256):
+    def __init__(self, capacity: int = 256) -> None:
         if capacity < 1:
             raise ConfigurationError(
                 f"ring capacity must be >= 1, got {capacity}"
             )
         self.capacity = int(capacity)
-        self._entries: "List[Optional[Tuple[int, ObsEvent]]]" = \
+        self._entries: "List[Optional[Tuple[int, T]]]" = \
             [None] * self.capacity
         self._next = 0
         self._total = 0
         self._lock = threading.Lock()
 
-    def push(self, event: ObsEvent) -> None:
-        """Record one event, overwriting the oldest when full."""
+    def push(self, entry: T) -> None:
+        """Record one entry, overwriting the oldest when full."""
         with self._lock:
             i = self._next
-            self._entries[i] = (self._total, event)
+            self._entries[i] = (self._total, entry)
             self._next = (i + 1) % self.capacity
             self._total += 1
 
     def __len__(self) -> int:
-        """Events currently held (≤ capacity)."""
+        """Entries currently held (≤ capacity)."""
         return min(self._total, self.capacity)
 
     @property
     def total_pushed(self) -> int:
-        """Events ever pushed, including those already overwritten."""
+        """Entries ever pushed, including those already overwritten."""
         return self._total
 
-    def _snapshot(self) -> "List[Tuple[int, ObsEvent]]":
+    def _snapshot(self) -> "List[Tuple[int, T]]":
         with self._lock:
             size = min(self._total, self.capacity)
             if self._total <= self.capacity:
@@ -132,11 +140,11 @@ class EventRing:
             return [entry for i in order
                     if (entry := self._entries[i]) is not None]
 
-    def events(self) -> "List[ObsEvent]":
-        """Chronological list of the held events."""
-        return [event for _seq, event in self._snapshot()]
+    def events(self) -> "List[T]":
+        """Chronological list of the held entries."""
+        return [entry for _seq, entry in self._snapshot()]
 
-    def dicts(self) -> "List[Dict[str, Any]]":
+    def dicts(self: "EventRing[ObsEvent]") -> "List[Dict[str, Any]]":
         """Chronological events as JSON-friendly dicts, each carrying
         its push-time ``seq`` number."""
         out: "List[Dict[str, Any]]" = []
@@ -147,7 +155,7 @@ class EventRing:
         return out
 
     def clear(self) -> None:
-        """Drop all events (buffer stays allocated)."""
+        """Drop all entries (buffer stays allocated)."""
         with self._lock:
             self._entries = [None] * self.capacity
             self._next = 0

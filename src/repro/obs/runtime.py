@@ -83,7 +83,7 @@ ENABLED: bool = False
 
 _REGISTRY: "Union[MetricsRegistry, NullRegistry]" = NULL_REGISTRY
 _RING: SweepTraceRing = SweepTraceRing(1)
-_EVENTS: EventRing = EventRing(1)
+_EVENTS: "EventRing[ObsEvent]" = EventRing(1)
 
 #: Hot-path recorder cache: key -> tuple of pre-interned metric objects.
 #: Registry interning builds a label dict plus a sorted key per lookup;
@@ -150,7 +150,7 @@ def sweep_ring() -> SweepTraceRing:
     return _RING
 
 
-def event_ring() -> EventRing:
+def event_ring() -> "EventRing[ObsEvent]":
     """The structured-event ring populated while instrumentation is on."""
     return _EVENTS
 

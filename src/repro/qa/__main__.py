@@ -12,9 +12,8 @@ unchanged (including ``--stale-suppressions`` and ``--baseline``).
 ``sanitize`` runs every sketch family through a short sanitized
 workload so the runtime invariant checks execute end to end.
 
-With no subcommand the driver prints usage and exits 2; the historical
-``python -m repro.qa src tests`` spelling (paths only) still runs the
-linter for compatibility.
+With no subcommand, or an unknown one, the driver prints usage and
+exits 2.
 """
 
 from __future__ import annotations
@@ -85,10 +84,7 @@ def _sanitize_main(argv: Sequence[str]) -> int:
 
 def main(argv: "Optional[Sequence[str]]" = None) -> int:
     args: List[str] = list(sys.argv[1:] if argv is None else argv)
-    if not args:
-        print(_USAGE, end="", file=sys.stderr)
-        return 2
-    command, rest = args[0], args[1:]
+    command, rest = (args[0] if args else ""), args[1:]
     if command == "lint":
         from .lint import main as lint_main
         return lint_main(rest)
@@ -100,10 +96,8 @@ def main(argv: "Optional[Sequence[str]]" = None) -> int:
     if command in ("-h", "--help"):
         print(_USAGE, end="")
         return 0
-    # Compatibility: bare paths run the linter, as `python -m repro.qa`
-    # did before the subcommands existed.
-    from .lint import main as lint_main
-    return lint_main(args)
+    print(_USAGE, end="", file=sys.stderr)
+    return 2
 
 
 if __name__ == "__main__":

@@ -9,9 +9,8 @@
 Exit status mirrors sketch-lint: 0 clean, 1 findings, 2 usage or parse
 error. Suppression comments are shared with sketch-lint (same
 ``# sketchlint: <token>`` syntax, same placement rules); the flow
-tokens are ``lock-ok`` (SK108 — also accepted under its historical
-spellings ``lockfree-ok`` / ``SK104``), ``fault-ok`` (SK109),
-``impure-ok`` (SK110), and ``obs-gate-ok`` (SK111).
+tokens are ``lock-ok`` (SK108), ``fault-ok`` (SK109), ``impure-ok``
+(SK110), and ``obs-gate-ok`` (SK111).
 
 A *baseline* file is a JSON list of ``"path:line:rule"`` strings;
 findings matching an entry are reported as baselined (and do not fail

@@ -50,9 +50,8 @@ SK107
 The historical SK104 (ThreadSafeSketch lock discipline) was absorbed
 into the flow analyzer's SK108 (:mod:`repro.qa.flow.rules`), which
 checks the same discipline with real control-flow dominance — plus
-shard-replica quiescence — instead of a per-statement pattern. The
-``lockfree-ok`` token (and the literal ``SK104``) remain accepted and
-now suppress SK108.
+shard-replica quiescence — instead of a per-statement pattern; its
+suppression token is ``lock-ok``.
 """
 
 from __future__ import annotations
@@ -68,8 +67,7 @@ __all__ = ["Finding", "ModuleScope", "RULE_IDS", "SUPPRESSION_TOKENS",
 RULE_IDS = ("SK101", "SK102", "SK103", "SK105", "SK106", "SK107")
 
 #: Suppression comment tokens (``# sketchlint: <token>``) per rule.
-#: Shared with the flow analyzer (SK108-SK111); ``lockfree-ok`` and the
-#: literal ``SK104`` are kept as aliases of SK108, which replaced SK104.
+#: Shared with the flow analyzer (SK108-SK111).
 SUPPRESSION_TOKENS: Dict[str, str] = {
     "scalar-ok": "SK101",
     "dtype-ok": "SK102",
@@ -78,8 +76,6 @@ SUPPRESSION_TOKENS: Dict[str, str] = {
     "metric-name-ok": "SK106",
     "kernel-ok": "SK107",
     "lock-ok": "SK108",
-    "lockfree-ok": "SK108",
-    "SK104": "SK108",
     "fault-ok": "SK109",
     "impure-ok": "SK110",
     "obs-gate-ok": "SK111",

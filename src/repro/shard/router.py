@@ -122,7 +122,7 @@ class ShardedSketch(ClockSketchBase):
     router:
         ``"serial"`` (inline, deterministic) or ``"process"`` (one
         worker process per shard over shared memory).
-    mp_context, queue_capacity, timeout, time_source:
+    queue_capacity, timeout, time_source:
         Forwarded to :class:`~repro.shard.workers.ProcessShardRouter`
         (ignored by the serial router).
 
@@ -134,7 +134,7 @@ class ShardedSketch(ClockSketchBase):
     """
 
     def __init__(self, prototype: Any, shards: int = 2, *,
-                 router: str = "serial", mp_context: Any = None,
+                 router: str = "serial",
                  queue_capacity: int = DEFAULT_QUEUE_CAPACITY,
                  timeout: float = DEFAULT_TIMEOUT, time_source: Any = None,
                  _replicas: "list[Any] | None" = None) -> None:
@@ -177,8 +177,7 @@ class ShardedSketch(ClockSketchBase):
             self.router = SerialShardRouter(replicas)
         elif router == "process":
             self.router = ProcessShardRouter(
-                replicas, mp_context=mp_context,
-                queue_capacity=queue_capacity, timeout=timeout,
+                replicas, queue_capacity=queue_capacity, timeout=timeout,
                 time_source=time_source,
             )
         else:

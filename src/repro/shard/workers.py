@@ -244,9 +244,6 @@ class ProcessShardRouter:
     ----------
     replicas:
         The parent-side replica sketches (read-only views once bound).
-    mp_context:
-        A :func:`multiprocessing.get_context` context or name
-        (``"fork"``/``"spawn"``); defaults to the platform default.
     queue_capacity:
         Bound on each worker's command queue; a full queue past
         ``timeout`` raises :class:`~repro.errors.ShardBackpressureError`.
@@ -259,14 +256,11 @@ class ProcessShardRouter:
 
     kind = "process"
 
-    def __init__(self, replicas: "list[Any]", *, mp_context: Any = None,
+    def __init__(self, replicas: "list[Any]", *,
                  queue_capacity: int = DEFAULT_QUEUE_CAPACITY,
                  timeout: float = DEFAULT_TIMEOUT,
                  time_source: Any = None) -> None:
-        if isinstance(mp_context, str) or mp_context is None:
-            ctx = get_context(mp_context)
-        else:
-            ctx = mp_context
+        ctx = get_context()
         self.replicas = list(replicas)
         self.timeout = float(timeout)
         self._time = time_source if time_source is not None else time.monotonic

@@ -19,9 +19,6 @@ from repro.ext import (
     KeyedMapper,
     SimilarItemSketch,
     TokenPrefixMapper,
-    merge_bitmaps,
-    merge_bloom_filters,
-    merge_count_mins,
 )
 
 
@@ -167,7 +164,7 @@ class TestMerge:
         b.insert("right", t=2.0)
         a.contains("x", t=3.0)
         b.contains("x", t=3.0)
-        merged = merge_bloom_filters(a, b)
+        merged = a.merge(b)
         assert merged.contains("left")
         assert merged.contains("right")
 
@@ -176,7 +173,7 @@ class TestMerge:
         a = ClockBloomFilter(n=256, k=3, s=2, window=w, seed=5)
         b = ClockBloomFilter(n=128, k=3, s=2, window=w, seed=5)
         with pytest.raises(ConfigurationError, match="n differs"):
-            merge_bloom_filters(a, b)
+            a.merge(b)
 
     def test_merge_requires_aligned_pointers(self):
         w = time_window(100.0)
@@ -184,7 +181,7 @@ class TestMerge:
                              seed=5)
         a.insert("x", t=50.0)
         with pytest.raises(ConfigurationError, match="pointers disagree"):
-            merge_bloom_filters(a, b)
+            a.merge(b)
 
     @given(st.lists(st.integers(0, 40), max_size=60),
            st.lists(st.integers(0, 40), max_size=60))
@@ -203,7 +200,7 @@ class TestMerge:
         b.contains(0, t=barrier)
         before_a = [a.contains(key) for key in range(41)]
         before_b = [b.contains(key) for key in range(41)]
-        merged = merge_bloom_filters(a, b)
+        merged = a.merge(b)
         for key in range(41):
             if before_a[key] or before_b[key]:
                 assert merged.contains(key)
@@ -217,7 +214,7 @@ class TestMerge:
             b.insert(key, t=float(t))
         a.estimate(t=60.0)
         b.estimate(t=60.0)
-        merged = merge_bitmaps(a, b)
+        merged = a.merge(b)
         assert merged.estimate().value == pytest.approx(100, rel=0.15)
 
     def test_count_min_sums(self):
@@ -230,7 +227,7 @@ class TestMerge:
             b.insert("key", t=float(t))
         a.query("x", t=10.0)
         b.query("x", t=10.0)
-        merged = merge_count_mins(a, b)
+        merged = a.merge(b)
         assert merged.query("key") == 8
 
     def test_count_min_saturates(self):
@@ -240,5 +237,5 @@ class TestMerge:
         for t in range(1, 13):
             a.insert("key", t=float(t))
             b.insert("key", t=float(t))
-        merged = merge_count_mins(a, b)
+        merged = a.merge(b)
         assert merged.query("key") == 15  # 12 + 12 clamped to 2^4 - 1

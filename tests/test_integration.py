@@ -17,7 +17,6 @@ import repro.core.cardinality
 import repro.core.size
 import repro.core.timespan
 import repro.ext.adaptive
-import repro.ext.merge
 import repro.ext.similar
 import repro.hashing.family
 import repro.streams.groundtruth
@@ -48,7 +47,6 @@ DOCTEST_MODULES = [
     repro.cache.policies,
     repro.ext.similar,
     repro.ext.adaptive,
-    repro.ext.merge,
 ]
 
 

@@ -16,6 +16,7 @@ from repro.errors import ConfigurationError
 from repro.monitor import ItemBatchMonitor
 from repro.obs import names
 from repro.obs import trace
+from repro.obs.events import EventRing
 
 
 @pytest.fixture(autouse=True)
@@ -26,7 +27,7 @@ def _trace_reset_after():
 
 
 def spans_by_name(name):
-    return [s for s in trace.tracer().ring.spans() if s["name"] == name]
+    return [s for s in trace.tracer().ring.events() if s["name"] == name]
 
 
 class TestSpanLifecycle:
@@ -123,20 +124,23 @@ class TestSampling:
             trace.configure(sample_every=-1)
 
 
-class TestSpanRing:
+class TestTracerRing:
+    """The tracer keeps finished spans in the shared ``EventRing``."""
+
     def test_capacity_must_be_positive(self):
         with pytest.raises(ConfigurationError, match=">= 1"):
-            trace.SpanRing(0)
+            trace.configure(capacity=0)
 
     def test_wraparound_keeps_most_recent_in_order(self):
-        ring = trace.SpanRing(capacity=3)
+        ring = trace.configure(capacity=3).ring
+        assert isinstance(ring, EventRing)
         for i in range(7):
             ring.push({"name": f"s{i}"})
         assert len(ring) == 3
         assert ring.total_pushed == 7
-        assert [s["name"] for s in ring.spans()] == ["s4", "s5", "s6"]
+        assert [s["name"] for s in ring.events()] == ["s4", "s5", "s6"]
         ring.clear()
-        assert len(ring) == 0 and ring.spans() == []
+        assert len(ring) == 0 and ring.events() == []
 
     def test_configure_replaces_ring_and_fresh_enable_clears_it(self):
         obs.enable(fresh=True)
@@ -173,7 +177,7 @@ class TestCaptureAndStitching:
             {"name": "shard.ingest", "trace_id": "t", "span_id": "a"},
             {"name": "shard.ingest", "trace_id": "t", "span_id": "b"},
         ])
-        assert [s["span_id"] for s in trace.tracer().ring.spans()] == \
+        assert [s["span_id"] for s in trace.tracer().ring.events()] == \
             ["a", "b"]
         snap = reg.snapshot()
         count, = [c["value"] for c in snap["counters"]

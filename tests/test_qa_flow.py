@@ -204,17 +204,6 @@ class TestSuppressions:
             analyze_source(load("sk108_bad.py"),
                            "src/repro/shard/fixture.py")) - 1
 
-    def test_legacy_sk104_spellings_map_to_sk108(self):
-        for token in ("lockfree-ok", "SK104"):
-            source = load("sk108_bad.py").replace(
-                "return self.sketch.insert(item)",
-                f"return self.sketch.insert(item)  # sketchlint: {token}",
-            )
-            findings = analyze_source(source,
-                                      "src/repro/shard/fixture.py")
-            lines = {f.line for f in findings}
-            assert 12 not in lines, token
-
 
 class TestStaleSuppressions:
     def test_stale_and_live_tokens_distinguished(self, tmp_path):
@@ -303,12 +292,14 @@ class TestUnifiedDriver:
         assert qa_main(["lint", str(target)]) == 0
         assert "sketchlint" in capsys.readouterr().out
 
-    def test_bare_paths_run_the_linter(self, tmp_path, capsys):
+    def test_bare_paths_print_usage(self, tmp_path, capsys):
         target = tmp_path / "core" / "mod.py"
         target.parent.mkdir()
         target.write_text("import numpy as np\n", encoding="utf-8")
-        assert qa_main([str(target)]) == 0
-        assert "sketchlint" in capsys.readouterr().out
+        assert qa_main([str(target)]) == 2
+        captured = capsys.readouterr()
+        assert "usage:" in captured.err
+        assert "sketchlint" not in captured.out
 
     def test_sanitize_smoke_run(self, capsys):
         assert qa_main(["sanitize"]) == 0

@@ -120,24 +120,63 @@ class TestSingleShardBitIdentity:
                               plain.clock.values)
 
 
+TIMED_MAKERS = {
+    "bloom-time": lambda mode: ClockBloomFilter(
+        n=2048, k=3, s=2, window=time_window(40.0), sweep_mode=mode),
+    "bitmap-time": lambda mode: ClockBitmap(
+        n=1024, s=2, window=time_window(40.0), sweep_mode=mode),
+}
+
+
 class TestMultiShardExactness:
     """Clock-only kinds stay bit-identical to plain at any shard count."""
 
-    @pytest.mark.parametrize("kind", ["bloom", "bitmap"])
+    @pytest.mark.parametrize("kind, query_between_chunks", [
+        pytest.param("bloom", False, id="bloom"),
+        pytest.param("bitmap", False, id="bitmap"),
+        pytest.param("bloom-time", False, id="bloom-time"),
+        pytest.param("bitmap-time", False, id="bitmap-time"),
+        pytest.param("bloom-time", True, id="bloom-time-queried"),
+        pytest.param("bitmap-time", True, id="bitmap-time-queried"),
+    ])
     @pytest.mark.parametrize("shards", [2, 4, 8])
-    def test_merged_cells_equal_plain(self, kind, shards):
-        make = MAKERS[kind]
+    def test_merged_cells_equal_plain(self, kind, query_between_chunks,
+                                      shards):
+        make = MAKERS.get(kind) or TIMED_MAKERS[kind]
+        family = kind.split("-")[0]
         plain = make("vector")
         sharded = ShardedSketch(lambda: make("vector"), shards=shards,
                                 router="serial")
+        # The same stream into a twin that is never queried: its
+        # replicas are the reference for the queried facade's replicas.
+        twin = ShardedSketch(lambda: make("vector"), shards=shards,
+                             router="serial")
         items = _stream(shards)
-        _insert_chunks(plain, items)
-        _insert_chunks(sharded, items)
+        times = None
+        if kind in TIMED_MAKERS:
+            rng = np.random.default_rng(shards + 99)
+            times = np.cumsum(rng.random(len(items)))
+        for lo in range(0, len(items), 311):
+            chunk = slice(lo, lo + 311)
+            chunk_times = None if times is None else times[chunk]
+            plain.insert_many(items[chunk], chunk_times)
+            sharded.insert_many(items[chunk], chunk_times)
+            twin.insert_many(items[chunk], chunk_times)
+            if query_between_chunks:
+                # A merged view mid-stream must leave every replica
+                # private: later chunks still land as if never queried.
+                _queries(family, sharded, _probe())
+        # Replicas first, synchronised by a bare barrier (no merge).
+        for facade in (sharded, twin):
+            facade.router.barrier(facade.now)
+        for mine, theirs in zip(sharded.replicas, twin.replicas):
+            assert mine.items_inserted == theirs.items_inserted
+            assert np.array_equal(mine.clock.values, theirs.clock.values)
         merged = sharded.merged()
         assert np.array_equal(merged.clock.values, plain.clock.values)
         assert merged.clock.steps_done == plain.clock.steps_done
-        assert np.array_equal(_queries(kind, sharded, _probe()),
-                              _queries(kind, plain, _probe()))
+        assert np.array_equal(_queries(family, sharded, _probe()),
+                              _queries(family, plain, _probe()))
 
     @pytest.mark.parametrize("shards", [2, 4])
     def test_countmin_bracketed_by_truth_and_plain(self, shards):
